@@ -10,6 +10,7 @@ package traffic
 // Paper-scale runs: `go run ./cmd/experiments -full`.
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"sync"
@@ -553,31 +554,65 @@ func BenchmarkCalibrationMem(b *testing.B) {
 	benchSink += idx
 }
 
+// BenchmarkDeviceEndToEnd is one Device replaying the COS trace, algorithm
+// set-up included. The trace is generated once, before the timer starts.
 func BenchmarkDeviceEndToEnd(b *testing.B) {
-	cfg, err := Preset("COS")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg = cfg.Scaled(0.05).WithIntervals(2)
+	meta, pkts, capacity := benchCOSPackets(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		alg, err := NewMultistageFilter(MultistageConfig{
 			Stages: 4, Buckets: 256, Entries: 128,
-			Threshold:    uint64(0.001 * cfg.Capacity()),
+			Threshold:    uint64(0.001 * capacity),
 			Conservative: true, Shield: true, Preserve: true, Seed: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		dev := NewDevice(alg, FiveTuple, NewAdaptor(MultistageAdaptation()))
-		src, err := NewGenerator(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := Replay(src, dev)
+		n, err := Replay(NewSliceSource(meta, pkts), dev)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(n), "packets/op")
 	}
+}
+
+// nopBatchConsumer discards what it is replayed.
+type nopBatchConsumer struct{}
+
+func (nopBatchConsumer) Packet(*Packet)       {}
+func (nopBatchConsumer) PacketBatch([]Packet) {}
+func (nopBatchConsumer) EndInterval(int)      {}
+
+// BenchmarkReplayTraceReader is the source layer alone in steady state: a
+// fresh trace reader decodes a compact MAG x0.25 trace (two intervals,
+// encoded once outside the timer) and Replay hands its batches to a
+// consumer that does nothing. One op is one whole trace.
+func BenchmarkReplayTraceReader(b *testing.B) {
+	cfg, err := Preset("MAG")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := NewGenerator(cfg.Scaled(0.25).WithIntervals(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var enc bytes.Buffer
+	pkts, err := WriteTrace(&enc, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := NewTraceReader(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n, err := Replay(r, nopBatchConsumer{}); err != nil || n != pkts {
+			b.Fatalf("replayed %d of %d packets: %v", n, pkts, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pkts), "ns/pkt")
 }

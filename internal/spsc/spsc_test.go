@@ -153,6 +153,67 @@ func TestStealVsPop(t *testing.T) {
 	}
 }
 
+// TestOneSlotPushPopSteal stresses the one-slot ring, whose storage must
+// still have two slots: the producer pushes a sequence and, when the ring
+// is full, steals the queued element every other time, while the consumer
+// pops. Each side must see its elements in push order, and every element
+// exactly once on exactly one side; a value overwritten between the
+// consumer's head CAS and its copy shows up as a skipped or repeated one.
+func TestOneSlotPushPopSteal(t *testing.T) {
+	const total = 20000
+	r := New[int](1)
+	if r.Cap() != 1 {
+		t.Fatalf("Cap() = %d, want 1", r.Cap())
+	}
+	var popped []int
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			v, ok := r.Pop()
+			if !ok {
+				return
+			}
+			popped = append(popped, v)
+		}
+	}()
+	var stolen []int
+	full := 0
+	for i := 0; i < total; i++ {
+		for !r.TryPush(i) {
+			full++
+			if full%2 == 0 {
+				if v, ok := r.Steal(); ok {
+					stolen = append(stolen, v)
+				}
+			} else {
+				r.Push(i)
+				break
+			}
+		}
+	}
+	r.Close()
+	wg.Wait()
+	seen := make([]int, total)
+	for _, side := range [][]int{popped, stolen} {
+		for j, v := range side {
+			if v < 0 || v >= total {
+				t.Fatalf("got %d, never pushed", v)
+			}
+			if j > 0 && v <= side[j-1] {
+				t.Fatalf("out of push order: %d after %d", v, side[j-1])
+			}
+			seen[v]++
+		}
+	}
+	for v, n := range seen {
+		if n != 1 {
+			t.Fatalf("%d surfaced %d times", v, n)
+		}
+	}
+}
+
 func TestPointerSlotsCleared(t *testing.T) {
 	r := New[*int](2)
 	v := new(int)

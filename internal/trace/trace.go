@@ -142,6 +142,30 @@ func WithStop(fn func() bool) ReplayOption {
 	return func(o *replayOptions) { o.stop = fn }
 }
 
+// batchSource is a Source that decodes many packets per call straight into
+// a caller's buffer, as Reader does. ReadBatch fills dst and returns
+// len(dst), nil, or returns fewer packets with the error that ended the
+// stream (io.EOF at its clean end).
+type batchSource interface {
+	ReadBatch(dst []flow.Packet) (int, error)
+}
+
+// readBatch fills dst from src, by its ReadBatch when it has one and by
+// one Next call per packet otherwise, with ReadBatch's contract.
+func readBatch(src Source, dst []flow.Packet) (int, error) {
+	if bs, ok := src.(batchSource); ok {
+		return bs.ReadBatch(dst)
+	}
+	for i := range dst {
+		p, err := src.Next()
+		if err != nil {
+			return i, err
+		}
+		dst[i] = p
+	}
+	return len(dst), nil
+}
+
 // Replay streams src into c, detecting measurement-interval boundaries from
 // packet timestamps; packets past the trace's nominal end are attributed to
 // the last interval. It returns the number of packets replayed.
@@ -152,6 +176,11 @@ func WithStop(fn func() bool) ReplayOption {
 // interval boundaries — a partial batch is flushed before each EndInterval —
 // so the consumer observes exactly the same packet/interval sequence at any
 // batch size and produces bit-identical reports.
+//
+// Replay pulls packets into its one batch buffer a batch at a time —
+// decoded in place when src is a Reader — and hands the consumer
+// sub-slices of it. A packet is checked against its interval's time span;
+// only one outside it costs a division.
 func Replay(src Source, c Consumer, opts ...ReplayOption) (int, error) {
 	o := replayOptions{batchSize: DefaultBatchSize}
 	for _, opt := range opts {
@@ -161,61 +190,74 @@ func Replay(src Source, c Consumer, opts ...ReplayOption) (int, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
-	batchSize := o.batchSize
 	bc, _ := c.(BatchConsumer)
-	buf := make([]flow.Packet, 0, batchSize)
+	buf := make([]flow.Packet, o.batchSize)
 	packets := 0
-	flush := func() {
-		if len(buf) == 0 {
+	deliver := func(batch []flow.Packet) {
+		if len(batch) == 0 {
 			return
 		}
 		if bc != nil {
-			bc.PacketBatch(buf)
+			bc.PacketBatch(batch)
 		} else {
-			for i := range buf {
-				c.Packet(&buf[i])
+			for i := range batch {
+				c.Packet(&batch[i])
 			}
 		}
-		buf = buf[:0]
+		packets += len(batch)
 		if o.progress != nil {
 			o.progress(packets)
 		}
 	}
 	cur := 0
+	lo, hi := intervalSpan(m, cur)
+	fill := 0 // buf[:fill] is the batch being filled, all in interval cur
 	for {
-		if o.stop != nil && len(buf) == 0 && o.stop() {
+		if o.stop != nil && fill == 0 && o.stop() {
 			return packets, ErrStopped
 		}
-		p, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			flush()
-			return packets, err
-		}
-		iv := int(p.Time / m.Interval)
-		if iv >= m.Intervals {
-			iv = m.Intervals - 1
-		}
-		if iv < cur {
-			flush()
-			return packets, fmt.Errorf("trace: packet at %v out of order (interval %d < %d)", p.Time, iv, cur)
-		}
-		if iv > cur {
-			flush()
+		n, err := readBatch(src, buf[fill:])
+		end := fill + n
+		for i := fill; i < end; i++ {
+			t := buf[i].Time
+			if t >= lo && t < hi {
+				continue
+			}
+			iv := int(t / m.Interval)
+			if iv >= m.Intervals {
+				iv = m.Intervals - 1
+			}
+			if iv == cur {
+				continue
+			}
+			deliver(buf[:i])
+			if iv < cur {
+				return packets, fmt.Errorf("trace: packet at %v out of order (interval %d < %d)", t, iv, cur)
+			}
 			for cur < iv {
 				c.EndInterval(cur)
 				cur++
 			}
+			lo, hi = intervalSpan(m, cur)
+			// Packet i opens the new interval's first batch: move it and
+			// the packets after it to the front of the buffer.
+			end = copy(buf, buf[i:end])
+			i = 0
 		}
-		buf = append(buf, p)
-		packets++
-		if len(buf) == batchSize {
-			flush()
+		fill = end
+		if fill == len(buf) {
+			deliver(buf)
+			fill = 0
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			deliver(buf[:fill])
+			return packets, err
 		}
 	}
-	flush()
+	deliver(buf[:fill])
 	for cur < m.Intervals {
 		c.EndInterval(cur)
 		cur++
@@ -224,6 +266,19 @@ func Replay(src Source, c Consumer, opts ...ReplayOption) (int, error) {
 		o.progress(packets)
 	}
 	return packets, nil
+}
+
+// intervalSpan returns the times [lo, hi) that certainly fall in interval
+// cur: from its start to the next boundary, or, for the last interval,
+// which also takes the packets past the nominal end, to the end of time.
+// hi stays at math.MaxInt64 where the next boundary would overflow; a packet
+// outside the span is placed by division.
+func intervalSpan(m Meta, cur int) (lo, hi time.Duration) {
+	lo, hi = time.Duration(cur)*m.Interval, math.MaxInt64
+	if cur < m.Intervals-1 && lo <= math.MaxInt64-m.Interval {
+		hi = lo + m.Interval
+	}
+	return lo, hi
 }
 
 // SliceSource serves packets from a slice. It is the in-memory Source used
