@@ -443,60 +443,44 @@ func BenchmarkFilterBatchMultiplyShift(b *testing.B) { benchFilterBatch(b, "mult
 // base hash per packet, all d stage buckets derived as h1 + i·h2.
 func BenchmarkFilterBatchDoubleHash(b *testing.B) { benchFilterBatch(b, "doublehash") }
 
-// ---- Unfused reference kernels: the before side of the fusion A/B ----
-
-// unfusedBatcher is implemented by algorithms that keep their pre-fusion
-// batch kernel as a reference (sample and hold, multistage filters).
-type unfusedBatcher interface {
-	ProcessBatchUnfused(keys []FlowKey, sizes []uint32)
-}
-
-func benchPacketBatchesUnfused(b *testing.B, alg Algorithm) {
-	b.Helper()
-	u, ok := alg.(unfusedBatcher)
-	if !ok {
-		b.Fatalf("%s has no unfused batch kernel", alg.Name())
+// BenchmarkFilterBatchDRAM is the doublehash kernel at a DRAM-sized table,
+// the lane configuration of a sharded device: 4 stages of 2^20 counters
+// (32 MiB) and 2^15 flow memory entries, fed 256-packet batches. One packet
+// in 64 belongs to one of 256 heavy flows, which pass the filter once and
+// are then counted in flow memory; the rest are never-repeating mice that
+// stay far below the threshold. So nearly every packet misses the flow
+// memory and updates counters on cold lines, and the kernel's cost is how
+// well its lookahead hides those misses.
+func BenchmarkFilterBatchDRAM(b *testing.B) {
+	alg, err := NewMultistageFilter(MultistageConfig{
+		Stages: 4, Buckets: 1 << 20, Entries: 1 << 15, Threshold: 100_000,
+		Conservative: true, Shield: true, Hash: "doublehash", Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	const batch = 64
+	const batch = 256
 	keys := make([]FlowKey, batch)
 	sizes := make([]uint32, batch)
 	for i := range sizes {
 		sizes[i] = 1000
 	}
+	seq := uint64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range keys {
-			keys[j].Lo = uint64((i*batch + j) % 50000)
+			seq++
+			if seq%64 == 0 {
+				keys[j] = FlowKey{Hi: 2, Lo: seq / 64 % 256}
+			} else {
+				keys[j] = FlowKey{Hi: 1, Lo: seq * 0x9E3779B97F4A7C15}
+			}
 		}
-		u.ProcessBatchUnfused(keys, sizes)
+		ProcessBatch(alg, keys, sizes)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
 }
-
-func BenchmarkSampleAndHoldPerBatchUnfused(b *testing.B) {
-	alg, err := NewSampleAndHold(SampleAndHoldConfig{
-		Entries: 4096, Threshold: 1 << 20, Oversampling: 4, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPacketBatchesUnfused(b, alg)
-}
-
-func benchFilterBatchUnfused(b *testing.B, hash string) {
-	alg, err := NewMultistageFilter(MultistageConfig{
-		Stages: 4, Buckets: 4096, Entries: 3584, Threshold: 1 << 30,
-		Conservative: true, Shield: true, Hash: hash, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPacketBatchesUnfused(b, alg)
-}
-
-func BenchmarkFilterBatchTabulationUnfused(b *testing.B) { benchFilterBatchUnfused(b, "tabulation") }
-func BenchmarkFilterBatchDoubleHashUnfused(b *testing.B) { benchFilterBatchUnfused(b, "doublehash") }
 
 // benchSink keeps pure-compute benchmark results alive.
 var benchSink uint64

@@ -5,31 +5,35 @@ package traffic
 // accounting totals:
 //
 //   - per-packet: Process on every packet (the reference semantics),
-//   - unfused:    ProcessBatchUnfused, the pre-fusion two-pass batch kernel
-//     kept exactly for this comparison,
-//   - fused:      ProcessBatch, the tiled hash→prefetch→update kernel.
+//   - fused:      ProcessBatch, the tiled hash→prefetch→update kernel,
+//   - fused-hash: ProcessBatchHash, the same kernel fed the flow memory
+//     probe hashes a sharded producer forwards (KeyHash of each key).
 //
 // The grid covers every hash family (tabulation, multiplyshift, doublehash —
 // the last is the one-base-hash deriver path whose hash reuse is the
 // riskiest part of the fusion), batch sizes {1, 7, 64, 1024} including
 // trailing partial batches (interval length 4097 is coprime to all of them),
 // and interval boundaries with entry preservation, which exercises the
-// rehash-free flow memory rebuild between intervals.
+// rehash-free flow memory rebuild between intervals. A DRAM-sized case runs
+// the same comparison with counter and flow memory tables far past any
+// cache, where most prefetch hints the kernel issues point at cold lines.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/memmodel"
 )
 
-// fusedDiffPackets synthesizes a deterministic Zipf-ish workload: a few
-// heavy flows that cross the threshold (exercising promotion and
-// preservation) over a long tail that stays in the filter stages.
-func fusedDiffPackets(intervals, perInterval int) ([][]FlowKey, [][]uint32) {
+// fusedDiffPackets synthesizes a deterministic Zipf-ish workload over
+// flows flows: a few heavy flows that cross the threshold (exercising
+// promotion and preservation) over a long tail that stays in the filter
+// stages.
+func fusedDiffPackets(intervals, perInterval int, flows uint64) ([][]FlowKey, [][]uint32) {
 	rng := rand.New(rand.NewSource(42))
-	zipf := rand.NewZipf(rng, 1.25, 1, 20000)
+	zipf := rand.NewZipf(rng, 1.25, 1, flows)
 	keys := make([][]FlowKey, intervals)
 	sizes := make([][]uint32, intervals)
 	for iv := 0; iv < intervals; iv++ {
@@ -56,15 +60,6 @@ func driveFused(t *testing.T, alg Algorithm, mode string, batchSize int, keys []
 			for i := range k {
 				alg.Process(k[i], s[i])
 			}
-		case "unfused":
-			u, ok := alg.(unfusedBatcher)
-			if !ok {
-				t.Fatalf("%s has no unfused batch kernel", alg.Name())
-			}
-			for i := 0; i < len(k); i += batchSize {
-				end := min(i+batchSize, len(k))
-				u.ProcessBatchUnfused(k[i:end], s[i:end])
-			}
 		case "fused":
 			b, ok := alg.(BatchAlgorithm)
 			if !ok {
@@ -73,6 +68,19 @@ func driveFused(t *testing.T, alg Algorithm, mode string, batchSize int, keys []
 			for i := 0; i < len(k); i += batchSize {
 				end := min(i+batchSize, len(k))
 				b.ProcessBatch(k[i:end], s[i:end])
+			}
+		case "fused-hash":
+			b, ok := alg.(core.HashBatchAlgorithm)
+			if !ok {
+				t.Fatalf("%s has no hash-forwarding batch kernel", alg.Name())
+			}
+			hashes := make([]uint64, len(k))
+			for i := range k {
+				hashes[i] = b.KeyHash(k[i])
+			}
+			for i := 0; i < len(k); i += batchSize {
+				end := min(i+batchSize, len(k))
+				b.ProcessBatchHash(hashes[i:end], k[i:end], s[i:end])
 			}
 		default:
 			t.Fatalf("unknown mode %q", mode)
@@ -106,10 +114,12 @@ func requireSameEstimates(t *testing.T, label string, ref, got [][]Estimate, ref
 
 var fusedDiffBatchSizes = []int{1, 7, 64, 1024}
 
+var fusedModes = []string{"fused", "fused-hash"}
+
 // TestFusedKernelDifferentialMultistage pits the fused multistage kernel
-// against the per-packet and unfused paths for every hash family.
+// against the per-packet path for every hash family.
 func TestFusedKernelDifferentialMultistage(t *testing.T) {
-	keys, sizes := fusedDiffPackets(3, 4097)
+	keys, sizes := fusedDiffPackets(3, 4097, 20000)
 	for _, hash := range []string{"tabulation", "multiplyshift", "doublehash"} {
 		mk := func() Algorithm {
 			alg, err := NewMultistageFilter(MultistageConfig{
@@ -124,7 +134,7 @@ func TestFusedKernelDifferentialMultistage(t *testing.T) {
 		}
 		ref, refMem := driveFused(t, mk(), "per-packet", 0, keys, sizes)
 		for _, bs := range fusedDiffBatchSizes {
-			for _, mode := range []string{"unfused", "fused"} {
+			for _, mode := range fusedModes {
 				label := fmt.Sprintf("multistage/%s %s batch=%d", hash, mode, bs)
 				got, gotMem := driveFused(t, mk(), mode, bs, keys, sizes)
 				requireSameEstimates(t, label, ref, got, refMem, gotMem)
@@ -137,7 +147,7 @@ func TestFusedKernelDifferentialMultistage(t *testing.T) {
 // hold, whose fused kernel must additionally consume the sampling RNG in
 // exactly the per-packet order.
 func TestFusedKernelDifferentialSampleAndHold(t *testing.T) {
-	keys, sizes := fusedDiffPackets(3, 4097)
+	keys, sizes := fusedDiffPackets(3, 4097, 20000)
 	for _, cfg := range []SampleAndHoldConfig{
 		{Entries: 256, Threshold: 200_000, Oversampling: 4, Seed: 9},
 		{Entries: 256, Threshold: 200_000, Oversampling: 4.7, Seed: 9, Preserve: true, EarlyRemoval: 0.15},
@@ -151,11 +161,43 @@ func TestFusedKernelDifferentialSampleAndHold(t *testing.T) {
 		}
 		ref, refMem := driveFused(t, mk(), "per-packet", 0, keys, sizes)
 		for _, bs := range fusedDiffBatchSizes {
-			for _, mode := range []string{"unfused", "fused"} {
+			for _, mode := range fusedModes {
 				label := fmt.Sprintf("sample-and-hold preserve=%v %s batch=%d", cfg.Preserve, mode, bs)
 				got, gotMem := driveFused(t, mk(), mode, bs, keys, sizes)
 				requireSameEstimates(t, label, ref, got, refMem, gotMem)
 			}
+		}
+	}
+}
+
+// TestFusedKernelDifferentialDRAM runs the multistage comparison at a
+// DRAM-sized table: 4 stages of 2^20 counters (32 MiB) and 2^15 flow memory
+// entries, over three intervals of about 200 batches each drawn from a
+// million flows, so the kernel's lookahead tiles prefetch lines that are
+// not in any cache. Several hundred flows pass per interval and are
+// preserved into the next.
+func TestFusedKernelDifferentialDRAM(t *testing.T) {
+	keys, sizes := fusedDiffPackets(3, 50_000, 1<<20)
+	for _, hash := range []string{"doublehash", "tabulation"} {
+		mk := func() Algorithm {
+			alg, err := NewMultistageFilter(MultistageConfig{
+				Stages: 4, Buckets: 1 << 20, Entries: 1 << 15, Threshold: 3_000,
+				Conservative: true, Shield: true, Preserve: true,
+				Hash: hash, Seed: 9,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return alg
+		}
+		ref, refMem := driveFused(t, mk(), "per-packet", 0, keys, sizes)
+		if len(ref[len(ref)-1]) == 0 {
+			t.Fatalf("%s: no flow passed the filter; the workload exercises nothing", hash)
+		}
+		for _, mode := range fusedModes {
+			label := fmt.Sprintf("multistage/%s DRAM %s batch=256", hash, mode)
+			got, gotMem := driveFused(t, mk(), mode, 256, keys, sizes)
+			requireSameEstimates(t, label, ref, got, refMem, gotMem)
 		}
 	}
 }

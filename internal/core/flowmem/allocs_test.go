@@ -75,3 +75,16 @@ func TestReportAmortizedZeroAllocs(t *testing.T) {
 		t.Fatalf("warm Report+EndInterval allocates %.1f allocs/op, must be 0", allocs)
 	}
 }
+
+// TestPrefetchHashesZeroAllocs guards the batch kernels' per-tile prefetch
+// call: its address list lives on the stack.
+func TestPrefetchHashesZeroAllocs(t *testing.T) {
+	m := New(1024)
+	hs := make([]uint64, 100) // more than one chunk
+	for i := range hs {
+		hs[i] = Hash(flow.Key{Lo: uint64(i)})
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { m.PrefetchHashes(hs) }); allocs != 0 {
+		t.Fatalf("PrefetchHashes allocates %.1f allocs/op, must be 0", allocs)
+	}
+}

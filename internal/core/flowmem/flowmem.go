@@ -23,16 +23,18 @@
 // Each slot's 64-bit probe hash is stored in a dense array parallel to the
 // entries. Probes compare the stored hash before touching the entry, so a
 // collision chain scans compact hash words (8 per cache line) and loads a
-// 48-byte entry only on a near-certain match — and the key is never hashed
+// 40-byte entry only on a near-certain match — and the key is never hashed
 // twice: batch kernels precompute the hash once per packet (LookupHash,
-// InsertHash, Prefetch) and the interval-transition rebuild re-homes
+// InsertHash, PrefetchHashes) and the interval-transition rebuild re-homes
 // surviving entries from their stored hashes.
 package flowmem
 
 import (
 	"slices"
+	"unsafe"
 
 	"repro/internal/flow"
+	"repro/internal/prefetch"
 )
 
 // Entry is one tracked flow.
@@ -74,10 +76,6 @@ type Memory struct {
 	// rejected counts inserts refused because the table was at capacity —
 	// the memory-pressure signal threshold adaptation feeds on.
 	rejected uint64
-
-	// prefetchSink accumulates the values Prefetch loads, so the compiler
-	// cannot eliminate the warming loads as dead.
-	prefetchSink uint64
 
 	// reportScratch and keepScratch are grow-only: Report and EndInterval
 	// reuse them so steady-state intervals allocate nothing once warm.
@@ -162,14 +160,27 @@ func (m *Memory) LookupHash(h uint64, key flow.Key) *Entry {
 	return nil
 }
 
-// Prefetch warms the cache lines a probe for hash h will touch: the home
-// slot's control byte, hash word and entry. Go has no portable prefetch
-// intrinsic, so the warming is done with real loads folded into a sink
-// field the compiler cannot eliminate; issued a short distance ahead of the
-// probe, the loads' misses overlap instead of serializing.
-func (m *Memory) Prefetch(h uint64) {
-	i := h & m.mask
-	m.prefetchSink += uint64(m.ctrl[i]) + m.hashes[i] + m.slots[i].Bytes
+// prefetchChunk is how many probe hashes PrefetchHashes hands to one
+// prefetch call: a batch kernel's whole tile.
+const prefetchChunk = 32
+
+// PrefetchHashes hints the cache lines that probes for the hashes in hs
+// will touch: each home slot's control byte, hash word and entry. The hints
+// are issued together, a tile at a time, so their misses overlap instead of
+// serializing; they change nothing the table's methods can observe.
+func (m *Memory) PrefetchHashes(hs []uint64) {
+	var addrs [3 * prefetchChunk]unsafe.Pointer
+	for len(hs) > 0 {
+		n := min(len(hs), prefetchChunk)
+		for j, h := range hs[:n] {
+			i := h & m.mask
+			addrs[3*j] = unsafe.Pointer(&m.ctrl[i])
+			addrs[3*j+1] = unsafe.Pointer(&m.hashes[i])
+			addrs[3*j+2] = unsafe.Pointer(&m.slots[i])
+		}
+		prefetch.Addrs(addrs[:3*n])
+		hs = hs[n:]
+	}
 }
 
 // Rejected returns the cumulative number of inserts refused because the

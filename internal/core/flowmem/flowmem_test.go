@@ -182,3 +182,28 @@ func TestPreserveExactLifecycle(t *testing.T) {
 		t.Error("long-lived large flow lost exactness")
 	}
 }
+
+// TestPrefetchHashesChangesNothing hints occupied, empty and wrapped-around
+// home slots, more than one chunk of them, and checks every entry is where
+// and what it was.
+func TestPrefetchHashesChangesNothing(t *testing.T) {
+	m := New(64)
+	for i := 0; i < 40; i++ {
+		m.Insert(key(uint64(i)), uint64(i))
+	}
+	hs := []uint64{0, ^uint64(0)}
+	for i := 0; i < 80; i++ {
+		hs = append(hs, Hash(key(uint64(i))))
+	}
+	m.PrefetchHashes(nil)
+	m.PrefetchHashes(hs)
+	if m.Len() != 40 {
+		t.Fatalf("Len %d after prefetch, want 40", m.Len())
+	}
+	for i := 0; i < 80; i++ {
+		e := m.Lookup(key(uint64(i)))
+		if (e != nil) != (i < 40) || (e != nil && e.Bytes != uint64(i)) {
+			t.Fatalf("key %d: entry %+v after prefetch", i, e)
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/hashing"
 	"repro/internal/memmodel"
+	"repro/internal/prefetch"
 	"repro/internal/telemetry"
 )
 
@@ -152,10 +153,6 @@ type Filter struct {
 	// probe hash, computed once in the fused kernel's hash phase and
 	// reused for prefetch, lookup and insert.
 	batchHash []uint64
-	// prefetchSink accumulates the counter values the fused kernel's hash
-	// phase loads to warm their cache lines, so the compiler cannot drop
-	// the loads as dead.
-	prefetchSink uint64
 }
 
 // fusedTile is the number of packets per hash→prefetch→update tile of the
@@ -280,10 +277,10 @@ func (f *Filter) Process(key flow.Key, size uint32) {
 // kernel: the batch streams through in tiles of fusedTile packets, each tile
 // running a hash phase — stage buckets and the flow memory probe hash
 // computed per packet, the counter lines and home flow memory slots warmed
-// with prefetching loads — software-pipelined ahead of an update phase that
+// with prefetch hints — software-pipelined ahead of an update phase that
 // runs the filter and flow memory logic against cache-resident lines. The
 // hash phase runs Config.PrefetchTiles tiles ahead of the update phase, so
-// with a DRAM-resident table the prefetching loads of tile i+k are in
+// with a DRAM-resident table the prefetches of tile i+k are in
 // flight while tile i's updates execute. Each packet's buckets and flow
 // slot are touched once per batch; the key is hashed once (the doublehash
 // deriver's base hash doubles as the flow memory probe hash).
@@ -365,39 +362,33 @@ func (f *Filter) growScratch(n, d int) {
 	}
 }
 
-// / hashTile runs the fused kernel's hash phase over the packets in [lo, hi):
+// hashTile runs the fused kernel's hash phase over the packets in [lo, hi):
 // it fills each packet's flat counter offsets (bidx, packet-major with
-// stride d) and flow memory probe hash (bh), and issues the prefetching
-// loads that pull the counter lines and home flow memory slots toward the
-// cache while the update phase is still lookahead tiles behind. The loads
-// are independent, so their misses overlap — the memory-level parallelism a
-// one-packet-at-a-time pass cannot reach. ext, when non-nil, supplies the
-// flow memory probe hashes (flowmem.Hash per key) already computed by the
-// caller.
+// stride d) and flow memory probe hash (bh), then issues prefetch hints for
+// the tile's counter lines and home flow memory slots, one call each, while
+// the update phase is still lookahead tiles behind. The hints retire at
+// once, so their misses overlap with each other and with the update work —
+// the memory-level parallelism a one-packet-at-a-time pass cannot reach.
+// ext, when non-nil, supplies the flow memory probe hashes (flowmem.Hash
+// per key) already computed by the caller.
 func (f *Filter) hashTile(ext []uint64, keys []flow.Key, bidx []uint32, bh []uint64, lo, hi int) {
 	d := len(f.hashes)
-	counters := f.counters
-	var sink uint64
 	if f.deriver != nil {
 		// One base hash per packet yields the flow memory probe hash and
 		// all d stage buckets, written as one contiguous run.
 		for j := lo; j < hi; j++ {
 			row := bidx[j*d : j*d+d : j*d+d]
-			h := f.deriver.DeriveBase(keys[j], row)
-			bh[j] = h
+			bh[j] = f.deriver.DeriveBase(keys[j], row)
 			base := uint32(0)
 			for i := range row {
 				row[i] += base
 				base += f.buckets
-				sink += counters[row[i]]
 			}
-			f.mem.Prefetch(h)
 		}
 	} else {
 		// Per-stage hashing keeps each stage's hash tables hot while the
 		// tile streams through them. Stages that can hash a whole tile in
-		// one call (TileHasher) write the strided offsets themselves; the
-		// counter-warming loads then run as a separate sweep.
+		// one call (TileHasher) write the strided offsets themselves.
 		base := uint32(0)
 		for i, h := range f.hashes {
 			if th := f.tileHashers[i]; th != nil {
@@ -409,69 +400,16 @@ func (f *Filter) hashTile(ext []uint64, keys []flow.Key, bidx []uint32, bh []uin
 			}
 			base += f.buckets
 		}
-		for j := lo; j < hi; j++ {
-			for i := 0; i < d; i++ {
-				sink += counters[bidx[j*d+i]]
-			}
-		}
 		if ext != nil {
-			for j := lo; j < hi; j++ {
-				bh[j] = ext[j]
-				f.mem.Prefetch(ext[j])
-			}
+			copy(bh[lo:hi], ext[lo:hi])
 		} else {
 			for j := lo; j < hi; j++ {
-				h := flowmem.Hash(keys[j])
-				bh[j] = h
-				f.mem.Prefetch(h)
+				bh[j] = flowmem.Hash(keys[j])
 			}
 		}
 	}
-	f.prefetchSink += sink
-}
-
-// ProcessBatchUnfused is the pre-fusion batch kernel, kept as the reference
-// implementation for differential tests and before/after benchmarks: a hash
-// pass over the whole batch filling the flat counter offsets, then a second
-// sweep running the filter and flow memory logic per packet — two passes
-// over the batch, no prefetch, the flow memory hashed in the update sweep.
-// It must produce reports bit-identical to ProcessBatch.
-func (f *Filter) ProcessBatchUnfused(keys []flow.Key, sizes []uint32) {
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	d := len(f.hashes)
-	f.growScratch(n, d)
-	bidx := f.batchIdx[:n*d]
-	if f.deriver != nil {
-		for j, k := range keys {
-			row := bidx[j*d : j*d+d]
-			f.deriver.Derive(k, row)
-			base := uint32(0)
-			for i := range row {
-				row[i] += base
-				base += f.buckets
-			}
-		}
-	} else {
-		base := uint32(0)
-		for i, h := range f.hashes {
-			for j, k := range keys {
-				bidx[j*d+i] = base + h.Bucket(k)
-			}
-			base += f.buckets
-		}
-	}
-	var cost memmodel.Counter
-	cost.Packets = uint64(n)
-	var bytes uint64
-	for j, k := range keys {
-		bytes += uint64(sizes[j])
-		f.process(k, sizes[j], f.keyHash(k), bidx[j*d:j*d+d], &cost)
-	}
-	f.cost.Add(cost)
-	f.tel.Observe(uint64(n), bytes, f.cost, f.mem.Len())
+	prefetch.Offsets(f.counters, bidx[lo*d:hi*d])
+	f.mem.PrefetchHashes(bh[lo:hi])
 }
 
 // process handles one packet. fmh is the packet's flow memory probe hash

@@ -53,7 +53,7 @@ type Config struct {
 	// the lower-bound property that makes estimates safe for billing.
 	Correction bool
 	// PrefetchTiles is the fused kernel's software-pipeline depth: the hash
-	// phase (and its prefetching loads) runs this many tiles ahead of the
+	// phase (and its prefetch hints) runs this many tiles ahead of the
 	// update phase, hiding table misses behind useful work when the flow
 	// memory outgrows cache. 0 selects DefaultPrefetchTiles, -1 disables the
 	// lookahead (hash and update the same tile back to back), and values up
@@ -216,7 +216,7 @@ func (s *SampleAndHold) processOne(key flow.Key, size uint32) {
 // ProcessBatch implements core.BatchAlgorithm with the fused kernel: the
 // batch streams through in tiles of fusedTile packets, a hash phase
 // computing each packet's flow memory probe hash once and warming its home
-// slot's cache lines with prefetching loads, software-pipelined
+// slot's cache lines with prefetch hints, software-pipelined
 // Config.PrefetchTiles tiles ahead of an update phase running the
 // lookup/sample/insert logic against cache-resident lines with the skip
 // state held in a register. The memory-reference accounting for the whole
@@ -240,20 +240,16 @@ func (s *SampleAndHold) ProcessBatchHash(hashes []uint64, keys []flow.Key, sizes
 
 // hashAHTile fills bh for the packets in [lo, hi) — from ext when the
 // caller already computed the hashes, otherwise by hashing — and issues the
-// prefetching loads for their home flow memory slots.
+// prefetch hints for their home flow memory slots.
 func (s *SampleAndHold) hashAHTile(ext []uint64, keys []flow.Key, bh []uint64, lo, hi int) {
 	if ext != nil {
+		copy(bh[lo:hi], ext[lo:hi])
+	} else {
 		for j := lo; j < hi; j++ {
-			bh[j] = ext[j]
-			s.mem.Prefetch(ext[j])
+			bh[j] = flowmem.Hash(keys[j])
 		}
-		return
 	}
-	for j := lo; j < hi; j++ {
-		h := flowmem.Hash(keys[j])
-		bh[j] = h
-		s.mem.Prefetch(h)
-	}
+	s.mem.PrefetchHashes(bh[lo:hi])
 }
 
 // processBatchFused is the fused kernel behind ProcessBatch and
@@ -313,45 +309,6 @@ func (s *SampleAndHold) processBatchFused(ext []uint64, keys []flow.Key, sizes [
 		s.tel.FilterPasses(passes)
 	}
 	s.tel.Observe(uint64(n), bytes, s.cost, s.mem.Len())
-}
-
-// ProcessBatchUnfused is the pre-fusion batch kernel, kept as the reference
-// implementation for differential tests and before/after benchmarks: one
-// sweep, each packet hashed at its lookup (and hashed again on insert), no
-// prefetch. It must produce reports bit-identical to ProcessBatch.
-func (s *SampleAndHold) ProcessBatchUnfused(keys []flow.Key, sizes []uint32) {
-	var reads, writes, bytes, passes uint64
-	skip := s.skip
-	for i, key := range keys {
-		size := sizes[i]
-		bytes += uint64(size)
-		reads++ // flow memory lookup
-		if e := s.mem.Lookup(key); e != nil {
-			e.Bytes += uint64(size)
-			writes++
-			continue
-		}
-		// Untracked flow: its bytes consume the sampling skip.
-		skip -= int64(size)
-		if skip > 0 {
-			continue
-		}
-		skip = s.nextSkip()
-		if s.mem.Insert(key, uint64(size)) != nil {
-			writes++
-			passes++
-		} else {
-			s.tel.Drop()
-		}
-	}
-	s.skip = skip
-	s.cost.Add(memmodel.Counter{
-		SRAMReads: reads, SRAMWrites: writes, Packets: uint64(len(keys)),
-	})
-	if passes != 0 {
-		s.tel.FilterPasses(passes)
-	}
-	s.tel.Observe(uint64(len(keys)), bytes, s.cost, s.mem.Len())
 }
 
 // EndInterval implements core.Algorithm.

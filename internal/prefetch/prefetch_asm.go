@@ -1,0 +1,16 @@
+//go:build amd64 || arm64
+
+package prefetch
+
+import "unsafe"
+
+// Offsets hints that &base[o] will be read soon, for each o in offs. Every
+// offset must be below len(base).
+//
+//go:noescape
+func Offsets(base []uint64, offs []uint32)
+
+// Addrs hints that each address in addrs will be read soon.
+//
+//go:noescape
+func Addrs(addrs []unsafe.Pointer)

@@ -14,13 +14,16 @@
 // wake while both sides are busy. Batch buffers are recycled through a
 // second, reverse-direction SPSC ring per lane, so the steady-state packet
 // loop allocates nothing. A multi-shard burst is first partitioned into
-// per-shard sub-batches in grow-only scratch — the shard is picked from the
-// same per-packet key hash the lanes' fused kernels probe their flow memory
-// with, so sharding adds one cheap remix per packet instead of a second
-// hash pass, and the hashes ride along with the batch for lanes that can
-// consume them (core.HashBatchAlgorithm). Partial batches are flushed at
-// interval boundaries, so merged reports are bit-identical to an unbatched
-// run.
+// per-shard sub-batches in grow-only scratch; the shard is picked from a
+// remix of flowmem.Hash of each key. Lanes whose kernels probe their flow
+// memory with that same hash (core.HashBatchAlgorithm with KeyHash ==
+// flowmem.Hash: sample and hold, and multistage filters with independent
+// stage hashes) get the hashes with the batch and never rehash, so the
+// key is hashed once across the pipeline. Doublehash filter lanes probe
+// with their deriver's base hash instead (canForwardHashes is false for
+// them), so for them the shard hash is a second hash per packet. Partial
+// batches are flushed at interval boundaries, so merged reports are
+// bit-identical to an unbatched run.
 //
 // Overload: when a lane's queue is full, MeasureConfig.Overload selects what
 // the producer does — Block (wait, lossless), DropNewest/DropOldest (shed a

@@ -152,6 +152,12 @@ const maxRecordLen = 9 * binary.MaxVarintLen64
 // errOverflow reports a varint longer than 64 bits.
 var errOverflow = errors.New("varint overflows a 64-bit integer")
 
+// ErrTimeBackwards reports a packet record whose time delta would put it
+// before the previous packet. Deltas are unsigned, so only one that wraps
+// the 64-bit time around can do that; the writer never produces one. The
+// first record is exempt: its delta is its own time, which may be negative.
+var ErrTimeBackwards = errors.New("trace: packet time before the previous packet's")
+
 // Reader streams packets from the binary trace format; it implements
 // Source. It decodes records in place from its bufio window (Peek, then
 // Discard) rather than one ReadByte call per byte, and ReadBatch decodes
@@ -161,9 +167,14 @@ type Reader struct {
 	meta     Meta
 	lastTime time.Duration
 	// win is the bufio window being decoded; its first used bytes are
-	// decoded but not yet discarded.
+	// decoded but not yet discarded. A window is at most bufio's buffer
+	// (4096 bytes unless the caller's own *bufio.Reader is larger), so used
+	// fits an int32, which leaves room for started beside it.
 	win  []byte
-	used int
+	used int32
+	// started is set once a record has been decoded: every later record's
+	// time must not come before lastTime.
+	started bool
 	// err is the error that ends the buffered bytes. bufio reports it only
 	// once, with the short window before it, so it is kept until the
 	// records in that window are decoded and then reported once, where
@@ -233,8 +244,10 @@ func (r *Reader) Next() (flow.Packet, error) {
 func (r *Reader) ReadBatch(dst []flow.Packet) (int, error) {
 	for n := range dst {
 		var err error
-		if len(r.win)-r.used >= maxRecordLen {
-			r.used, err = r.decode(r.win, r.used, &dst[n])
+		if len(r.win)-int(r.used) >= maxRecordLen {
+			var end int
+			end, err = r.decode(r.win, int(r.used), &dst[n])
+			r.used = int32(end)
 		} else {
 			err = r.refill(&dst[n])
 		}
@@ -250,13 +263,15 @@ func (r *Reader) ReadBatch(dst []flow.Packet) (int, error) {
 // window means the stream ends or fails within them: those records take the
 // checked path, which consumes them itself and leaves no window.
 func (r *Reader) refill(p *flow.Packet) error {
-	r.r.Discard(r.used)
+	r.r.Discard(int(r.used))
 	r.win, r.used = nil, 0
 	if r.err == nil {
 		win, err := r.r.Peek(maxRecordLen)
 		if len(win) == maxRecordLen {
 			r.win, _ = r.r.Peek(r.r.Buffered())
-			r.used, err = r.decode(r.win, 0, p)
+			var end int
+			end, err = r.decode(r.win, 0, p)
+			r.used = int32(end)
 			return err
 		}
 		r.err = err
@@ -282,7 +297,7 @@ func (r *Reader) decodeTail(win []byte, p *flow.Packet) error {
 	}
 	var pad [maxRecordLen]byte
 	copy(pad[:], win)
-	last := r.lastTime
+	last, started := r.lastTime, r.started
 	end, derr := r.decode(pad[:], 0, p)
 	if end <= len(win) {
 		r.r.Discard(end)
@@ -292,7 +307,7 @@ func (r *Reader) decodeTail(win []byte, p *flow.Packet) error {
 	// byte-at-a-time reader did — io.EOF for a field with no bytes, an
 	// unexpected EOF for one cut short. Every byte with a clear top bit in
 	// win ends a whole field.
-	r.lastTime = last
+	r.lastTime, r.started = last, started
 	r.r.Discard(len(win))
 	r.err = nil
 	field, start := 0, 0
@@ -313,8 +328,9 @@ func (r *Reader) decodeTail(win []byte, p *flow.Packet) error {
 // decode decodes the record at b[off:] into p and returns the offset past
 // it. b must hold at least maxRecordLen bytes from off, so no field runs
 // off its end. Each field is a varint, accepted exactly as
-// binary.ReadUvarint accepts it; the only error is a varint overflow, with
-// the offset past the overflowing field.
+// binary.ReadUvarint accepts it. The errors are a varint overflow, with the
+// offset past the overflowing field, and ErrTimeBackwards, with the offset
+// past the record; neither advances the reader's time.
 func (r *Reader) decode(b []byte, off int, p *flow.Packet) (int, error) {
 	var f [9]uint64
 	nf := 7
@@ -331,9 +347,13 @@ func (r *Reader) decode(b []byte, off int, p *flow.Packet) (int, error) {
 			return i, fmt.Errorf("trace: truncated packet record: %w", errOverflow)
 		}
 	}
-	r.lastTime += time.Duration(f[0])
+	t := r.lastTime + time.Duration(f[0])
+	if t < r.lastTime && r.started {
+		return i, timeBackwards(t, r.lastTime)
+	}
+	r.lastTime, r.started = t, true
 	*p = flow.Packet{
-		Time:    r.lastTime,
+		Time:    t,
 		Size:    uint32(f[1]),
 		SrcIP:   uint32(f[2]),
 		DstIP:   uint32(f[3]),
@@ -344,6 +364,15 @@ func (r *Reader) decode(b []byte, off int, p *flow.Packet) (int, error) {
 		DstAS:   uint16(f[8]),
 	}
 	return i, nil
+}
+
+// timeBackwards returns the ErrTimeBackwards error for a record at t after
+// one at last. It is kept out of decode so the error path costs the
+// decoder nothing.
+//
+//go:noinline
+func timeBackwards(t, last time.Duration) error {
+	return fmt.Errorf("%w: %v after %v", ErrTimeBackwards, t, last)
 }
 
 // uvarint decodes the varint at b[i:], which must hold at least

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -115,6 +118,75 @@ func TestReaderTruncatedPacket(t *testing.T) {
 	}
 	if _, err := r.Next(); err == nil || err == io.EOF {
 		t.Errorf("truncated packet gave %v, want a non-EOF error", err)
+	}
+}
+
+// TestReaderRejectsTimeGoingBackwards feeds a record whose 2^63 delta
+// wraps time back before the previous packet's: the reader reports
+// ErrTimeBackwards for it, keeps its time, and reads on.
+func TestReaderRejectsTimeGoingBackwards(t *testing.T) {
+	meta := Meta{Name: "wrap", LinkBytesPerSec: 1e6, Interval: time.Second, Intervals: 1}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rec := func(delta uint64) {
+		for _, v := range []uint64{delta, 40, 1, 2, 3, 4, 6} {
+			buf.Write(binary.AppendUvarint(nil, v))
+		}
+	}
+	rec(10)
+	rec(1 << 63)
+	rec(10)
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := r.Next(); err != nil || p.Time != 10 {
+		t.Fatalf("first packet: %+v, %v", p, err)
+	}
+	if _, err := r.Next(); !errors.Is(err, ErrTimeBackwards) {
+		t.Fatalf("wrapping delta gave %v, want ErrTimeBackwards", err)
+	}
+	if p, err := r.Next(); err != nil || p.Time != 20 {
+		t.Fatalf("packet after the rejected record: %+v, %v; want time 20ns", p, err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("end: %v, want io.EOF", err)
+	}
+}
+
+// TestReaderAcceptsFarApartTimes round-trips times more than
+// math.MaxInt64 apart, whose delta the writer encodes as 2^63 or more, and
+// a negative first time: neither goes backwards.
+func TestReaderAcceptsFarApartTimes(t *testing.T) {
+	pkts := []flow.Packet{
+		{Time: -math.MaxInt64 + 5, Size: 40},
+		{Time: -1 << 62, Size: 40},
+		{Time: 1 << 62, Size: 40},
+		{Time: math.MaxInt64, Size: 40},
+	}
+	var buf bytes.Buffer
+	meta := Meta{Name: "far", LinkBytesPerSec: 1e6, Interval: time.Second, Intervals: 1}
+	if _, err := WriteAll(&buf, NewSliceSource(meta, pkts)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range pkts {
+		p, err := r.Next()
+		if err != nil || p.Time != want.Time {
+			t.Fatalf("packet %d: %+v, %v; want time %v", i, p, err, want.Time)
+		}
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("end: %v, want io.EOF", err)
 	}
 }
 

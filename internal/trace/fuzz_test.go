@@ -24,6 +24,7 @@ type refReader struct {
 	r        *bufio.Reader
 	meta     Meta
 	lastTime time.Duration
+	started  bool
 }
 
 // newRefReader parses the header with NewReader, whose header code did not
@@ -57,9 +58,13 @@ func (r *refReader) Next() (flow.Packet, error) {
 			return flow.Packet{}, fmt.Errorf("trace: truncated packet record: %w", err)
 		}
 	}
-	r.lastTime += time.Duration(delta)
+	t := r.lastTime + time.Duration(delta)
+	if r.started && t < r.lastTime {
+		return flow.Packet{}, fmt.Errorf("%w: %v after %v", ErrTimeBackwards, t, r.lastTime)
+	}
+	r.lastTime, r.started = t, true
 	p := flow.Packet{
-		Time:    r.lastTime,
+		Time:    t,
 		Size:    uint32(fields[0]),
 		SrcIP:   uint32(fields[1]),
 		DstIP:   uint32(fields[2]),
@@ -76,10 +81,14 @@ func (r *refReader) Next() (flow.Packet, error) {
 
 // errClass names the kind of error a record decoder stopped with and the
 // field it stopped in: the first of a record ("reading packet") or a later
-// one ("truncated packet record").
+// one ("truncated packet record"). A record whose time goes backwards is
+// whole, so its class names no field.
 func errClass(err error) string {
 	if err == nil || err == io.EOF {
 		return fmt.Sprint(err)
+	}
+	if errors.Is(err, ErrTimeBackwards) {
+		return "time backwards"
 	}
 	field := "first field"
 	if strings.HasPrefix(err.Error(), "trace: truncated packet record: ") {
@@ -226,6 +235,7 @@ func recordSeeds(f *testing.F) [][]byte {
 	overflow11 := bytes.Repeat([]byte{0x80}, 11)              // no end in ten bytes
 	max64 := binary.AppendUvarint(nil, math.MaxUint64)        // ten bytes, valid
 	longest := bytes.Repeat(max64, 7)                         // the longest record without AS; a first record, since its delta wraps time
+	wraps := rec(1<<63, 40, 1, 2, 3, 4, 6)                    // delta 80 80 80 80 80 80 80 80 80 01
 	return [][]byte{
 		with(overflow10),
 		with(ok, append(append([]byte{0x01}, overflow10...), ok[2:]...)),
@@ -239,7 +249,9 @@ func recordSeeds(f *testing.F) [][]byte {
 		edge,
 		with(longest, ok),
 		with(ok, rec(1<<62, math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64), ok), // 69 bytes
-		with(ok, ok, ok, ok, longest[:len(longest)-5]), // 93 bytes: cut short in a full window
+		with(ok, ok, ok, ok, longest[:len(longest)-5]),   // 93 bytes: cut short in a full window
+		with(ok, wraps, ok),                              // a later record's 2^63 delta wraps time backwards; the stream goes on
+		with(rec(1<<63|1<<62, 40, 1, 2, 3, 4, 6), wraps), // -2^62 then 2^62: a 2^63 delta that goes forwards
 		with(ok, ok[:1]),
 		with(ok, ok[:len(ok)-1]),
 	}
@@ -249,13 +261,14 @@ func recordSeeds(f *testing.F) [][]byte {
 // input is decoded by Next and by ReadBatch at batch sizes 1, 7 and 256;
 // each must give the same packets as the byte-at-a-time reference decoder,
 // with the same classes of error (clean EOF, truncated record, varint
-// overflow, read error) at the same places, or the same bad header. Each
-// input is read whole, and from a reader that fails once mid-stream and
-// goes on, and from one that fails with its last bytes; decoding goes on
-// past every error. Packets that parse cleanly must also re-encode to a
-// trace that parses back identically. The reader is the first thing to
-// touch an untrusted trace file, so it must never panic, never read
-// unboundedly ahead of its input, and never fabricate packets.
+// overflow, read error, time going backwards) at the same places, or the
+// same bad header. Each input is read whole, and from a reader that fails
+// once mid-stream and goes on, and from one that fails with its last
+// bytes; decoding goes on past every error. Packets that parse cleanly
+// must also re-encode to a trace that parses back identically. The reader
+// is the first thing to touch an untrusted trace file, so it must never
+// panic, never read unboundedly ahead of its input, and never fabricate
+// packets.
 func FuzzReader(f *testing.F) {
 	var buf bytes.Buffer
 	meta := Meta{Name: "seed", LinkBytesPerSec: 1e6, Interval: time.Second, Intervals: 2, HasAS: true}
